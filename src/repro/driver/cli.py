@@ -270,7 +270,9 @@ def cmd_run(args) -> int:
                   f"{fs['fused_routines']} calls; mega-kernels "
                   f"{fs['megakernel_builds']} built / "
                   f"{fs['megakernel_hits']} hits / "
-                  f"{fs['stepwise_groups']} stepwise", file=sys.stderr)
+                  f"{fs['stepwise_groups']} stepwise; CSHIFTs "
+                  f"{fs['shift_deferred']} deferred / "
+                  f"{fs['shift_materialized']} copied", file=sys.stderr)
         for name, cycles in sorted(result.stats.per_routine.items()):
             print(f"  {name:<12} {cycles:>12,d} node cycles",
                   file=sys.stderr)

@@ -29,6 +29,15 @@ from .analysis import Inference
 from .environment import Environment, LoweringError, build_environment
 
 
+def _normalize_args(sig: intr.Intrinsic, positional, keyword) -> list:
+    """``intr.normalize_args`` with arity and keyword errors as
+    :class:`LoweringError` (located by :meth:`Lowerer.lower_value`)."""
+    try:
+        return intr.normalize_args(sig, positional, keyword)
+    except ValueError as exc:
+        raise LoweringError(str(exc)) from None
+
+
 @dataclass
 class LoweredProgram:
     """A lowered unit: the NIR program plus its environments."""
@@ -461,7 +470,7 @@ class Lowerer:
         if name == "merge":
             if len(positional) + len(keyword) != 3:
                 raise LoweringError("merge: expected three arguments")
-            slots = intr.normalize_args(
+            slots = _normalize_args(
                 intr.Intrinsic("merge", "elemental", 3, 3,
                                ("tsource", "fsource", "mask")),
                 positional, keyword)
@@ -471,11 +480,11 @@ class Lowerer:
             return self.lower_inquiry(name, positional)
         if name in intr.COMMUNICATION:
             sig = intr.COMMUNICATION[name]
-            slots = intr.normalize_args(sig, positional, keyword)
+            slots = _normalize_args(sig, positional, keyword)
             return self.lower_comm(name, slots)
         if name in intr.REDUCTIONS:
             sig = intr.REDUCTIONS[name]
-            slots = intr.normalize_args(sig, positional, keyword)
+            slots = _normalize_args(sig, positional, keyword)
             args = [self.lower_value(slots[0])]
             if len(slots) > 1 and slots[1] is not None:
                 args.append(self.lower_const_int(slots[1], f"{name} DIM"))

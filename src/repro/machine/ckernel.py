@@ -27,6 +27,15 @@ payload propagation), integer ops, allocating conversions — makes the
 emitter decline, and the caller falls back to the Python blocked
 kernel.
 
+A kernel may also read some slots as *shifted streams* — deferred
+CSHIFT temporaries (:mod:`repro.machine.shifts`) read in place from
+their source buffer.  Those kernels loop over the temporaries' shape
+as an N-d nest: the outer axes compute each shifted stream's source row
+once per row, and the last axis is split into runs over which every
+stream's source column advances without wrapping; each run calls the
+plain element loop, so the inner loop has no modulo.  Shape and
+offsets are runtime arguments, so one build serves every shift amount.
+
 ``REPRO_FUSED_CC=0`` disables native generation; it is also skipped
 automatically when no C compiler is on PATH.
 """
@@ -77,6 +86,10 @@ def _compiler() -> str | None:
     return None
 
 
+def native_available() -> bool:
+    return _compiler() is not None
+
+
 _SO_CACHE: dict[str, object] = {}
 _WORKDIR: str | None = None
 
@@ -110,31 +123,42 @@ def _literal(value) -> str:
 
 
 class _CKernel:
-    """Callable with the blocked-kernel interface over a native loop."""
+    """Callable with the blocked-kernel interface over a native loop.
 
-    __slots__ = ("_fn", "_lib", "_nslots", "_sregs", "source", "native")
+    A kernel with shifted streams takes a fourth argument: the shape,
+    then each shifted slot's per-axis offsets, in slot order.
+    """
 
-    def __init__(self, fn, lib, nslots, sregs, source) -> None:
+    __slots__ = ("_fn", "_lib", "_nslots", "_sregs", "source", "native",
+                 "shifted")
+
+    def __init__(self, fn, lib, nslots, sregs, source, shifted) -> None:
         self._fn = fn
         self._lib = lib  # keeps the dlopen handle alive
         self._nslots = nslots
         self._sregs = sregs
         self.source = source
         self.native = True
+        self.shifted = shifted
 
-    def __call__(self, S, X, n) -> None:
+    def __call__(self, S, X, n, Z=None) -> None:
         ptrs = (ctypes.c_void_p * self._nslots)(
             *[a.ctypes.data for a in S])
         xs = (ctypes.c_double * max(1, len(self._sregs)))(
             *[float(X[k]) for k in self._sregs])
-        self._fn(ptrs, xs, n)
+        if self.shifted:
+            self._fn(ptrs, xs, n, (ctypes.c_long * len(Z))(*Z))
+        else:
+            self._fn(ptrs, xs, n)
 
 
 class _CEmitter:
-    def __init__(self, plan, spec, classes, n, S) -> None:
+    def __init__(self, plan, spec, classes, n, S, shifted=None) -> None:
         self.plan = plan
         self.spec = spec
         self.n = n
+        # (ndim, shifted slot ids) or None: see ``try_native``.
+        self.ndim, self.shifted = shifted or (0, ())
         self.cid_of = dict(zip(plan.used_pregs, classes))
         for cid in set(classes):
             if S[cid].dtype != np.float64:
@@ -150,9 +174,11 @@ class _CEmitter:
         self.lines.append(f"    const {ctype} {name} = {expr};")
         return name
 
-    def _mem(self, preg: int) -> str:
+    def _mem(self, preg: int, store: bool = False) -> str:
         cid = self.cid_of[preg]
         self.used_cids.add(cid)
+        if store and cid in self.shifted:
+            raise _CBail
         return f"s{cid}[i]"
 
     def _read(self, rd, vmap) -> tuple[str, str]:
@@ -235,7 +261,8 @@ class _CEmitter:
                     expr, kind = self._read(step.reader, vmap)
                     if kind == "bool":
                         expr = f"(double)({expr})"
-                    commits.append(f"    {self._mem(step.preg)} = {expr};")
+                    commits.append(
+                        f"    {self._mem(step.preg, True)} = {expr};")
                 elif isinstance(step, _ComputeStep):
                     pend.append((step.dst, self._compute(step, vmap)))
                 elif not isinstance(step, _BranchStep):
@@ -249,22 +276,82 @@ class _CEmitter:
 
     def _emit(self):
         sregs = sorted(self.used_sregs)
-        pre = [f"  double *s{cid} = (double *)SP[{cid}];"
-               for cid in sorted(self.used_cids)]
-        pre += [f"  const double x{k} = X[{j}];"
-                for j, k in enumerate(sregs)]
-        src = "\n".join(
-            ["#include <math.h>",
-             "void kernel(void **SP, const double *X, long n) {"]
-            + pre
-            + ["  for (long i = 0; i < n; i++) {"]
-            + self.lines
-            + ["  }", "}", ""])
         nslots = max(self.cid_of.values(), default=-1) + 1
-        return _load(src, nslots, tuple(sregs))
+        # The element loop over the slot pointers: the whole kernel when
+        # nothing is shifted, else run once per segment of the nest.
+        loop = (["(void **SP, const double *X, long n) {"]
+                + [f"  double *s{cid} = (double *)SP[{cid}];"
+                   for cid in sorted(self.used_cids)]
+                + [f"  const double x{k} = X[{j}];"
+                   for j, k in enumerate(sregs)]
+                + ["  for (long i = 0; i < n; i++) {"] + self.lines
+                + ["  }", "}"])
+        if self.shifted:
+            # The nest only moves pointers once per segment; building it
+            # at -O1 keeps a shifted kernel's build time near a plain one.
+            src = (["static __attribute__((noinline)) void loop" + loop[0]]
+                   + loop[1:]
+                   + ['__attribute__((optimize("O1")))',
+                      "void kernel(void **SP, const double *X, long n, "
+                      "const long *Z) {",
+                      f"  void *P[{nslots}];"]
+                   + self._nest() + ["}"])
+        else:
+            src = ["void kernel" + loop[0]] + loop[1:]
+        return _load("\n".join(["#include <math.h>"] + src + [""]),
+                     nslots, tuple(sregs), bool(self.shifted))
+
+    def _nest(self) -> list[str]:
+        """The loop nest over the shape ``Z[:ndim]`` for shifted reads.
+
+        ``Z[ndim:]`` holds each shifted slot's offsets ``k`` in
+        ``[0, extent)``, slot by slot.  The outer axes pick each
+        stream's source row; the last axis runs in segments that end
+        where the first stream's source column would wrap, and each
+        segment runs ``loop`` over pointers ``P`` moved to its start.
+        """
+        d, last, ns = self.ndim, self.ndim - 1, len(self.shifted)
+        n = f"d{last}"
+        out = [f"  const long d{a} = Z[{a}];" for a in range(d)]
+        out += [f"  const long *K = Z + {d};",
+                f"  const int C[{ns}] = {{"
+                + ", ".join(map(str, self.shifted)) + "};",
+                f"  const double *R0[{ns}];",
+                f"  for (int s = 0; s < {ns}; s++) "
+                f"R0[s] = (const double *)SP[C[s]];",
+                f"  long st{last} = 1;"]
+        out += [f"  long st{a} = st{a + 1} * d{a + 1};"
+                for a in range(last - 1, -1, -1)]
+        out.append("  long row = 0;")
+        pad = "  "
+        for a in range(last):  # outer axes: one source row per stream
+            out += [f"{pad}for (long i{a} = 0; i{a} < d{a}; i{a}++) {{",
+                    f"{pad}  const double *R{a + 1}[{ns}];",
+                    f"{pad}  for (int s = 0; s < {ns}; s++) {{",
+                    f"{pad}    long r = i{a} + K[s * {d} + {a}];",
+                    f"{pad}    R{a + 1}[s] = R{a}[s] + "
+                    f"(r >= d{a} ? r - d{a} : r) * st{a};",
+                    f"{pad}  }}"]
+            pad += "  "
+        out += [f"{pad}for (long j = 0; j < {n}; ) {{",
+                f"{pad}  long e = {n};",
+                f"{pad}  for (int s = 0; s < {ns}; s++) {{",
+                f"{pad}    long c = j + K[s * {d} + {last}];",
+                f"{pad}    if (c >= {n}) c -= {n};",
+                f"{pad}    if (j + {n} - c < e) e = j + {n} - c;",
+                f"{pad}    P[C[s]] = (double *)(R{last}[s] + c);",
+                f"{pad}  }}"]
+        out += [f"{pad}  P[{c}] = (double *)SP[{c}] + row + j;"
+                for c in sorted(self.used_cids - set(self.shifted))]
+        out += [f"{pad}  loop(P, X, e - j);", f"{pad}  j = e;",
+                f"{pad}}}", f"{pad}row += {n};"]
+        for a in range(last - 1, -1, -1):
+            pad = pad[:-2]
+            out.append(f"{pad}}}")
+        return out
 
 
-def _load(src: str, nslots: int, sregs: tuple,
+def _load(src: str, nslots: int, sregs: tuple, shifted: bool = False,
           extra_flags: tuple = ()) -> _CKernel:
     key = (src, extra_flags)
     cached = _SO_CACHE.get(key)
@@ -284,12 +371,15 @@ def _load(src: str, nslots: int, sregs: tuple,
             raise _CBail
         lib = ctypes.CDLL(sofile)
         fn = lib.kernel
-        fn.argtypes = [ctypes.POINTER(ctypes.c_void_p),
-                       ctypes.POINTER(ctypes.c_double), ctypes.c_long]
+        argtypes = [ctypes.POINTER(ctypes.c_void_p),
+                    ctypes.POINTER(ctypes.c_double), ctypes.c_long]
+        if shifted:
+            argtypes.append(ctypes.POINTER(ctypes.c_long))
+        fn.argtypes = argtypes
         fn.restype = None
         cached = _SO_CACHE[key] = (lib, fn)
     lib, fn = cached
-    return _CKernel(fn, lib, nslots, sregs, src)
+    return _CKernel(fn, lib, nslots, sregs, src, shifted)
 
 
 def retune(kern, extra_flags: tuple) -> object:
@@ -303,17 +393,21 @@ def retune(kern, extra_flags: tuple) -> object:
     if not getattr(kern, "native", False) or not extra_flags:
         return kern
     try:
-        return _load(kern.source, kern._nslots, kern._sregs,
+        return _load(kern.source, kern._nslots, kern._sregs, kern.shifted,
                      tuple(extra_flags))
     except _CBail:
         return kern
 
 
-def try_native(plan, spec, classes, n, S):
-    """A compiled C kernel for the plan, or None to use the Python one."""
-    if _compiler() is None:
+def try_native(plan, spec, classes, n, S, shifted=None):
+    """A compiled C kernel for the plan, or None to use the Python one.
+
+    ``shifted`` is ``(ndim, slot ids)`` for a kernel that reads those
+    slots as shifted streams over an ``ndim``-axis shape.
+    """
+    if not native_available():
         return None
     try:
-        return _CEmitter(plan, spec, classes, n, S).build()
+        return _CEmitter(plan, spec, classes, n, S, shifted).build()
     except _CBail:
         return None

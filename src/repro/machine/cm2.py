@@ -23,6 +23,7 @@ from .execplan import Dispatch, resolve as resolve_fused
 from .geometry import Geometry, coordinate_array, make_geometry
 from .pe import SubgridStream, VectorExecutor
 from .plan import _UNBOUND, GLOBAL_POOL, BufferPool, get_plan
+from .shifts import Shifted, write_shifted
 from .stats import RunStats
 
 
@@ -102,7 +103,15 @@ class Machine:
             "megakernel_native": 0,
             "megakernel_hits": 0,
             "stepwise_groups": 0,
+            "shift_deferred": 0,
+            "shift_materialized": 0,
         }
+        # Deferred CSHIFT temporaries (:mod:`repro.machine.shifts`), by
+        # name and by buffer identity.  The host executor turns deferral
+        # on when a native mega-kernel can read them in place.
+        self.defer_shifts = False
+        self.deferred: dict[str, Shifted] = {}
+        self._deferred_ids: dict[int, Shifted] = {}
 
     # -- storage ---------------------------------------------------------
 
@@ -166,10 +175,58 @@ class Machine:
         """
         from .network import halo_exchange_cycles
 
+        self.materialize(name)
         home = self.home(name)
         self.charge_comm(halo_exchange_cycles(self.model, home.geometry,
                                               dim, shift))
         return np.roll(home.data, -shift, axis=dim - 1)
+
+    # -- deferred shifts ---------------------------------------------------
+
+    def defer_shift(self, name: str, src_name: str, shift: int,
+                    axis: int) -> bool:
+        """Record ``name = CSHIFT(src_name, shift, axis + 1)`` uncopied.
+
+        Both arrays are whole, same-shaped and float64 (the caller's
+        one-pass CSHIFT conditions).  A shift of a deferred temporary
+        composes onto its source.  False means "copy it now".
+        """
+        if not self.defer_shifts:
+            return False
+        dst = self.home(name).data
+        base = self.deferred.get(src_name)
+        if base is None:
+            src = self.home(src_name).data
+            base = Shifted(src_name, src, src_name, src, (0,) * src.ndim)
+        if (base.src_name == name or dst.dtype != np.float64
+                or base.src.dtype != np.float64):
+            return False
+        self.drop_shift(name)  # its old value is overwritten whole
+        sh = base.shifted_by(name, dst, shift, axis)
+        self.deferred[name] = sh
+        self._deferred_ids[id(dst)] = sh
+        self.fusion_metrics["shift_deferred"] += 1
+        return True
+
+    def materialize(self, name: str) -> None:
+        """Copy a deferred temporary's value into its buffer (if deferred)."""
+        sh = self.drop_shift(name)
+        if sh is not None:
+            write_shifted(self.pool, sh)
+            self.fusion_metrics["shift_materialized"] += 1
+
+    def drop_shift(self, name: str) -> Shifted | None:
+        """Forget a deferral without copying (its value is dead)."""
+        sh = self.deferred.pop(name, None)
+        if sh is not None:
+            del self._deferred_ids[id(sh.dst)]
+        return sh
+
+    def _settle(self, d: Dispatch) -> None:
+        """Materialize the shifted streams a dispatch would read in place."""
+        for _, sh in d.shifted:
+            self.materialize(sh.name)
+        d.shifted = ()
 
     # -- node dispatch ----------------------------------------------------
 
@@ -234,13 +291,15 @@ class Machine:
         if len(calls) == 1:
             self.call_routine(*calls[0])
             return
-        dispatches = [self._prepare(*c) for c in calls]
+        fused = self.exec_mode == "fused"
+        dispatches = [self._prepare(*c, shifts=fused) for c in calls]
         try:
             plan = S = None
-            if self.exec_mode == "fused":
+            if fused:
                 plan, S = resolve_fused(self, site, dispatches)
             if plan is None:
                 for d in dispatches:
+                    self._settle(d)
                     self._execute_dispatch(d)
                     self._account_call(d)
             else:
@@ -252,8 +311,14 @@ class Machine:
     def _prepare(self, routine: Routine, bindings: dict[str, object],
                  region_extents: tuple[int, ...],
                  real_elements: int | None = None,
-                 layout: tuple[str, ...] | None = None) -> Dispatch:
-        """Resolve one call's streams, scalars and spill scratch."""
+                 layout: tuple[str, ...] | None = None,
+                 shifts: bool = False) -> Dispatch:
+        """Resolve one call's streams, scalars and spill scratch.
+
+        A whole-array read of a deferred CSHIFT temporary becomes one of
+        the dispatch's ``shifted`` streams when ``shifts`` allows the
+        caller to read it in place; any other touch materializes it.
+        """
         if layout is not None and len(layout) != len(region_extents):
             layout = None  # section computes fall back to block layout
         self._verify_routine(routine)
@@ -263,6 +328,7 @@ class Machine:
         scalars: list = [_UNBOUND] * NUM_SREGS
         pushes = 0
         scalar_pushes = 0
+        shifted: list[tuple[int, Shifted]] = []
         for param in routine.params:
             if param.kind == "vlen":
                 pushes += 1
@@ -278,6 +344,16 @@ class Machine:
                     raise MachineError(
                         f"{routine.name}: '{param.name}' needs a pointer reg")
                 streams[param.reg.n] = SubgridStream(value, name=param.name)
+                if self._deferred_ids and param.kind == "subgrid":
+                    owner = getattr(value, "base", None)
+                    sh = self._deferred_ids.get(
+                        id(value if owner is None else owner))
+                    if sh is not None:
+                        if (shifts and value is sh.dst
+                                and param.reg.n not in plan.stored_pregs):
+                            shifted.append((param.reg.n, sh))
+                        else:
+                            self.materialize(sh.name)
             elif param.kind == "scalar":
                 if not isinstance(param.reg, SReg):
                     raise MachineError(
@@ -308,7 +384,7 @@ class Machine:
                     else real_elements)
         return Dispatch(routine, plan, streams, scalars, pushes,
                         scalar_pushes, spill_bufs, tuple(spill_pregs),
-                        trips, elements)
+                        trips, elements, tuple(shifted))
 
     def _execute_dispatch(self, d: Dispatch) -> None:
         if self.exec_mode == "interp":
@@ -348,6 +424,8 @@ class Machine:
             "megakernel_native": self.fusion_metrics["megakernel_native"],
             "megakernel_hits": self.fusion_metrics["megakernel_hits"],
             "stepwise_groups": self.fusion_metrics["stepwise_groups"],
+            "shift_deferred": self.fusion_metrics["shift_deferred"],
+            "shift_materialized": self.fusion_metrics["shift_materialized"],
         }
 
     # -- accounting helpers -------------------------------------------------

@@ -46,7 +46,7 @@ from collections import OrderedDict
 import numpy as np
 
 from ..peac.isa import Mem, NUM_SREGS, NUM_VREGS
-from .ckernel import try_native
+from .ckernel import native_available, try_native
 from .kernel import _NO_KERNEL, _build
 from .plan import (
     _R_CONST,
@@ -66,11 +66,11 @@ class Dispatch:
 
     __slots__ = ("routine", "plan", "streams", "scalars", "pushes",
                  "scalar_pushes", "spill_bufs", "spill_pregs", "trips",
-                 "elements")
+                 "elements", "shifted")
 
     def __init__(self, routine, plan, streams, scalars, pushes,
                  scalar_pushes, spill_bufs, spill_pregs, trips,
-                 elements) -> None:
+                 elements, shifted=()) -> None:
         self.routine = routine
         self.plan = plan
         self.streams = streams
@@ -81,6 +81,9 @@ class Dispatch:
         self.spill_pregs = spill_pregs
         self.trips = trips
         self.elements = elements
+        # (preg, Shifted) pairs: deferred CSHIFT temporaries this call
+        # reads whole, which a native mega-kernel may read in place.
+        self.shifted = shifted
 
 
 class _MergedPlan:
@@ -200,6 +203,7 @@ class ExecutionPlan:
         self._cycle_cache: dict = {}
         self._kernels: OrderedDict[tuple, object] = OrderedDict()
         self._merged = None
+        self._inplace: tuple = ()
 
     # -- construction ---------------------------------------------------
 
@@ -366,25 +370,71 @@ class ExecutionPlan:
             X: list = []
             for d in dispatches:
                 X.extend(d.scalars)
+            args = (S, X, self.n)
+            if self._inplace:
+                args += (self._shift_args(S),)
             with np.errstate(all="ignore"):
-                kern(S, X, self.n)
+                kern(*args)
         else:
             machine.fusion_metrics["stepwise_groups"] += 1
             for d in dispatches:
+                machine._settle(d)
                 d.plan.execute(d.streams, d.scalars, machine.pool)
+
+    def _shift_args(self, S) -> list:
+        """Point shifted slots at their sources; the kernel's ``Z``."""
+        z = list(self._inplace[0][1].dst.shape)
+        for slot, sh in self._inplace:
+            S[slot] = sh.src.reshape(-1)
+            z.extend(sh.offsets)
+        return z
+
+    def _shifted_slots(self, machine, dispatches) -> tuple:
+        """(slot, Shifted) pairs still deferred this trip, by slot."""
+        pairs: dict = {}
+        for smap, d in zip(self.slot_maps, dispatches):
+            for p, sh in d.shifted:
+                slot = smap.get(p)
+                if slot is not None and sh.name in machine.deferred:
+                    pairs[slot] = sh
+        shapes = {sh.dst.shape for sh in pairs.values()}
+        return tuple(sorted(pairs.items())) if len(shapes) == 1 else ()
 
     def _kernel_for(self, machine, dispatches):
         """The mega-kernel for this trip's binding signature, if ready.
 
         None means "run the constituent plans in order" — either the
         signature still needs a recording pass, code generation is
-        disabled, or the merged steps are not kernel-eligible.
+        disabled, or the merged steps are not kernel-eligible.  A native
+        kernel that reads this trip's deferred CSHIFT temporaries in
+        place is preferred (``self._inplace`` lists them); otherwise
+        they are materialized first.
         """
+        self._inplace = ()
         if os.environ.get("REPRO_FAST_KERNEL") == "0":
             return None
         sigs = tuple(d.plan._signature(d.streams, d.scalars)
                      for d in dispatches)
-        kern = self._kernels.get(sigs)
+        inplace = self._shifted_slots(machine, dispatches)
+        if inplace:
+            ndim = len(inplace[0][1].dst.shape)
+            kern = self._lookup(machine, dispatches, sigs,
+                                (ndim, tuple(s for s, _ in inplace)))
+            if kern is not None:
+                self._inplace = inplace
+                return kern
+        for d in dispatches:
+            machine._settle(d)
+        return self._lookup(machine, dispatches, sigs, None)
+
+    def _lookup(self, machine, dispatches, sigs, shifted):
+        """The cached or freshly built kernel for one variant, or None.
+
+        ``shifted`` keys the in-place variant (``(ndim, slots)``); only a
+        native kernel can read in place, so that variant never falls
+        back to the Python blocked kernel.
+        """
+        kern = self._kernels.get((sigs, shifted))
         if kern is None:
             specs = []
             for d, sig in zip(dispatches, sigs):
@@ -397,7 +447,7 @@ class ExecutionPlan:
             # separately so simulated targets keep the baseline one.
             tune = getattr(machine, "tune_kernel", None)
             key = (self.serials, self._slot_key, sigs, self.n,
-                   getattr(machine, "kernel_flavor", None))
+                   getattr(machine, "kernel_flavor", None), shifted)
             kern = _MEGA_KERNELS.get(key)
             if kern is None:
                 S = self.rebind(dispatches)
@@ -406,22 +456,25 @@ class ExecutionPlan:
                 identity = tuple(range(self.nslots))
                 # Prefer a native per-element loop (intermediates stay
                 # in registers); decline -> the Python blocked kernel.
-                kern = try_native(merged, mspec, identity, self.n, S)
+                kern = try_native(merged, mspec, identity, self.n, S,
+                                  shifted)
                 if kern is None:
-                    kern = _build(merged, mspec, identity, self.n, S)
+                    kern = (_NO_KERNEL if shifted else
+                            _build(merged, mspec, identity, self.n, S))
                 else:
                     if tune is not None:
                         kern = tune(kern)
                     machine.fusion_metrics["megakernel_native"] += 1
                 _remember(key, kern)
-                machine.fusion_metrics["megakernel_builds"] += 1
+                if kern is not _NO_KERNEL or not shifted:
+                    machine.fusion_metrics["megakernel_builds"] += 1
             else:
                 _MEGA_KERNELS.move_to_end(key)
                 if kern is not _NO_KERNEL:
                     machine.fusion_metrics["megakernel_hits"] += 1
             while len(self._kernels) >= self.KERNEL_CAP:
                 self._kernels.popitem(last=False)
-            self._kernels[sigs] = kern
+            self._kernels[(sigs, shifted)] = kern
         elif kern is not _NO_KERNEL:
             machine.fusion_metrics["megakernel_hits"] += 1
         return None if kern is _NO_KERNEL else kern
@@ -450,6 +503,11 @@ class ExecutionPlan:
                 spec[token + toff] = v
             toff += plan._tokens
         return spec
+
+
+def shifts_in_place() -> bool:
+    """Whether fused mega-kernels can read deferred CSHIFTs in place."""
+    return os.environ.get("REPRO_FAST_KERNEL") != "0" and native_available()
 
 
 def resolve(machine, site, dispatches):

@@ -17,6 +17,7 @@ import numpy as np
 
 from .. import nir
 from ..machine import network
+from ..machine.shifts import shifted_copy
 from .nir_eval import NirEvaluator
 
 
@@ -64,44 +65,6 @@ def _write(view: np.ndarray, value) -> None:
     np.copyto(view, arr, casting="unsafe")
 
 
-def _shifted_into(out: np.ndarray, src: np.ndarray, r: int,
-                  axis: int) -> None:
-    """``np.roll(src, r, axis)`` written directly into ``out``."""
-    if r == 0:
-        np.copyto(out, src, casting="unsafe")
-        return
-    n = src.shape[axis]
-    lo = [slice(None)] * src.ndim
-    hi = [slice(None)] * src.ndim
-    slo = [slice(None)] * src.ndim
-    shi = [slice(None)] * src.ndim
-    lo[axis] = slice(0, r)
-    slo[axis] = slice(n - r, None)
-    hi[axis] = slice(r, None)
-    shi[axis] = slice(None, n - r)
-    np.copyto(out[tuple(lo)], src[tuple(slo)], casting="unsafe")
-    np.copyto(out[tuple(hi)], src[tuple(shi)], casting="unsafe")
-
-
-def _shifted_copy(machine, view: np.ndarray, src: np.ndarray,
-                  shift: int, axis: int) -> None:
-    """One-pass CSHIFT: the roll lands straight in the target view.
-
-    The generic path materializes ``np.roll`` (an allocation and a full
-    copy) and then copies again into the target.  A circular shift is
-    just two block copies, so write them directly — via a pooled
-    staging buffer only when source and target share memory.
-    """
-    r = (-int(shift)) % src.shape[axis]
-    if np.shares_memory(view, src):
-        tmp = machine.pool.acquire(src.shape, src.dtype)
-        _shifted_into(tmp, src, r, axis)
-        np.copyto(view, tmp, casting="unsafe")
-        machine.pool.release(tmp)
-    else:
-        _shifted_into(view, src, r, axis)
-
-
 def _primary_array(value: nir.Value) -> str | None:
     for node in nir.values.walk(value):
         if isinstance(node, nir.AVar):
@@ -126,6 +89,8 @@ def execute_comm(machine, evaluator: NirEvaluator,
             if (isinstance(data, np.ndarray) and data.shape == view.shape
                     and data.size):
                 src_arr = data
+    whole = isinstance(clause.tgt.field, nir.Everywhere)
+    deferred = False
     if src_arr is None:
         result = evaluator.eval(clause.src)
         _write(view, result)
@@ -142,10 +107,15 @@ def execute_comm(machine, evaluator: NirEvaluator,
         dim_index = 2 if kind == "cshift" else 3
         dim = int(evaluator.eval_scalar(call.args[dim_index]))
         if src_arr is not None:
-            if 1 <= dim <= src_arr.ndim:
-                _shifted_copy(machine, view, src_arr, shift, dim - 1)
-            else:
+            if not 1 <= dim <= src_arr.ndim:
                 _write(view, evaluator.eval(clause.src))
+            elif whole and machine.defer_shift(clause.tgt.name, arg.name,
+                                               shift, dim - 1):
+                deferred = True
+            else:
+                machine.materialize(arg.name)
+                shifted_copy(machine.pool, view, src_arr, shift, dim - 1)
+                machine.fusion_metrics["shift_materialized"] += 1
         machine.charge_comm(network.cshift_cycles(model, geom, dim, shift))
     elif kind == "transpose":
         machine.charge_comm(network.transpose_cycles(model, geom))
@@ -161,6 +131,9 @@ def execute_comm(machine, evaluator: NirEvaluator,
                 1, int(np.asarray(result).size) // max(1, geom.pes_used))))
     else:
         raise RuntimeError_(f"unknown communication kind {kind!r}")
+    if whole and not deferred:
+        # A whole-array write retires the target's stale deferral.
+        machine.drop_shift(clause.tgt.name)
 
 
 def execute_reduce(machine, evaluator: NirEvaluator,

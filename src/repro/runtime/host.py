@@ -11,11 +11,13 @@ via :func:`format_host_program`.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .. import nir
+from ..machine.execplan import shifts_in_place
 from ..machine.plan import get_plan
 from ..peac.isa import Routine
 from . import cmrt
@@ -188,6 +190,122 @@ def _op_effects(op: HostOp) -> tuple[frozenset[str], frozenset[str]]:
     return frozenset(), frozenset()
 
 
+_NONE: frozenset[str] = frozenset()
+_LIVENESS: dict[int, "_Liveness"] = {}
+
+
+def _bodies(op: HostOp) -> tuple:
+    if isinstance(op, (Loop, WhileOp)):
+        return (op.body,)
+    if isinstance(op, IfOp):
+        return (op.then, op.els)
+    return ()
+
+
+def _whole_target(op: HostOp) -> str | None:
+    """The array a communication MOVE overwrites whole, if any."""
+    if (isinstance(op, CommMove)
+            and isinstance(op.clause.tgt.field, nir.Everywhere)):
+        return op.clause.tgt.name
+    return None
+
+
+class _Liveness:
+    """Which deferred CSHIFT temporaries may still be observed, and where.
+
+    A temporary is observable at a point when some path from it reads
+    the temporary (a kernel, the evaluator, the end of the run) before a
+    whole-array communication MOVE rewrites it.  Each op sequence keeps
+    backward (gen, kill) summaries of its suffixes over the temporaries
+    a CSHIFT may defer; :meth:`live` folds them outward through the
+    executor's frames.  A counted loop's trip count is known when it
+    runs, so inside its body the last trip continues after the loop and
+    any other trip into the body again.
+    """
+
+    def __init__(self, program: HostProgram) -> None:
+        names: set[str] = set()
+        stack = [program.ops]
+        while stack:
+            for op in stack.pop():
+                tgt = _whole_target(op)
+                if tgt is not None and op.kind == "cshift":
+                    names.add(tgt)
+                stack.extend(_bodies(op))
+        self.ops = program.ops
+        self.universe = frozenset(names)
+        self.seqs: dict[int, list[tuple[frozenset, frozenset]]] = {}
+        self._summary(program.ops)
+
+    @classmethod
+    def of(cls, program: HostProgram) -> "_Liveness":
+        """The facts for a program, computed once while it lives."""
+        got = _LIVENESS.get(id(program))
+        if got is None or got.ops is not program.ops:
+            got = _LIVENESS[id(program)] = cls(program)
+            weakref.finalize(program, _LIVENESS.pop, id(program), None)
+        return got
+
+    def _summary(self, ops) -> tuple[frozenset, frozenset]:
+        got = self.seqs.get(id(ops))
+        if got is None:
+            got = [(_NONE, _NONE)]
+            for op in reversed(ops):
+                gen, kill = self._op(op)
+                g, k = got[-1]
+                got.append((gen | (g - kill), kill | k))
+            got.reverse()
+            self.seqs[id(ops)] = got
+        return got[0]
+
+    def _op(self, op: HostOp) -> tuple[frozenset, frozenset]:
+        names = self.universe
+        if isinstance(op, Loop):
+            trips = (len(range(op.lo, op.hi + (1 if op.step > 0 else -1),
+                               op.step)) if op.step else 0)
+            body = self._summary(op.body)
+            return body if trips else (_NONE, _NONE)
+        if isinstance(op, WhileOp):
+            return (_value_arrays(op.cond) & names
+                    | self._summary(op.body)[0]), _NONE
+        if isinstance(op, IfOp):
+            gt, kt = self._summary(op.then)
+            ge, ke = self._summary(op.els)
+            return _value_arrays(op.cond) & names | gt | ge, kt & ke
+        if isinstance(op, Stop):
+            return names, names
+        if isinstance(op, NodeCall):
+            used: set[str] = set()
+            for arg in op.args:
+                if arg.array is not None:
+                    used.add(arg.array)
+                if arg.value is not None:
+                    used |= _value_arrays(arg.value)
+            return frozenset(used) & names, _NONE
+        reads, writes = _op_effects(op)
+        tgt = _whole_target(op)
+        if tgt is not None:
+            return reads & names, frozenset({tgt}) & names
+        return (reads | writes) & names, _NONE
+
+    def live(self, frames: list) -> frozenset:
+        """Observable temporaries before the op the frames point at."""
+        out = self.universe  # the end of the run observes every array
+        for depth, (ops, i, _kind, _last) in enumerate(frames):
+            summary = self.seqs[id(ops)]
+            if depth == len(frames) - 1:
+                gen, kill = summary[i]
+                return gen | (out - kill)
+            _, _, kind, last = frames[depth + 1]
+            # A WHILE body ends in another test of the condition.
+            gen, kill = summary[i if kind == "while" else i + 1]
+            out = gen | (out - kill)
+            if kind == "loop" and not last:
+                gen, kill = self.seqs[id(frames[depth + 1][0])][0]
+                out = gen | (out - kill)
+        return out
+
+
 class HostExecutor:
     """Interprets a host program against a simulated machine.
 
@@ -201,16 +319,26 @@ class HostExecutor:
     element access) flushes the batch first.  Argument resolution is
     persistent: each call site's subgrid and coordinate views are cached
     and revalidated by array identity instead of re-resolved per trip.
+
+    When a native mega-kernel can read them in place, whole-array
+    CSHIFTs into temporaries are deferred (:mod:`repro.machine.shifts`).
+    The executor decides when a deferral must become a host copy: every
+    evaluator read materializes, and before anything writes a deferred
+    temporary's source the temporary is materialized if it may still be
+    observed (:class:`_Liveness`) and forgotten otherwise.  The run ends
+    with every remaining temporary materialized.
     """
 
     def __init__(self, machine, fuse_exec: bool = False) -> None:
         self.machine = machine
         self.scalars: dict[str, object] = {}
         self.output: list[str] = []
-        self.evaluator = NirEvaluator(
-            read_array=lambda name: self.machine.home(name).data,
-            scalars=self.scalars)
+        self.evaluator = NirEvaluator(read_array=self._read_array,
+                                      scalars=self.scalars)
         self.fuse_exec = bool(fuse_exec) and machine.exec_mode == "fused"
+        machine.defer_shifts = self.fuse_exec and shifts_in_place()
+        self._liveness: _Liveness | None = None
+        self._frames: list[list] = []  # [ops, index, kind, last trip]
         self._pending: list[tuple[HostOp, tuple]] = []
         self._pending_reads: set[str] = set()
         self._pending_writes: set[str] = set()
@@ -220,15 +348,54 @@ class HostExecutor:
     # ------------------------------------------------------------------
 
     def run(self, program: HostProgram) -> None:
+        m = self.machine
+        if m.defer_shifts:
+            self._liveness = _Liveness.of(program)
         try:
             self._run_ops(program.ops)
         except StopExecution:
             pass
+        self._frames.clear()
         self._flush()
+        for name in list(m.deferred):
+            m.materialize(name)
 
-    def _run_ops(self, ops) -> None:
-        for op in ops:
+    def _run_ops(self, ops, kind: str = "seq", last: bool = True) -> None:
+        frame = [ops, 0, kind, last]
+        self._frames.append(frame)
+        for i, op in enumerate(ops):
+            frame[1] = i
             self._run_op(op)
+        self._frames.pop()
+
+    def _read_array(self, name: str):
+        m = self.machine
+        if name in m.deferred:
+            m.materialize(name)
+        return m.home(name).data
+
+    def _settle(self, writes, kill: str | None = None) -> None:
+        """Retire the deferrals that writing ``writes`` would break.
+
+        A deferred temporary that is itself written (other than whole,
+        by ``kill``) is materialized; one whose source is written is
+        materialized if it may still be observed — later on this path
+        or by the pending batch — and forgotten otherwise.
+        """
+        m = self.machine
+        live = None
+        for name, sh in list(m.deferred.items()):
+            if name in writes:
+                if name != kill:
+                    m.materialize(name)
+            elif sh.src_name in writes:
+                if live is None:
+                    live = (self._liveness.live(self._frames)
+                            | self._pending_reads)
+                if name in live:
+                    m.materialize(name)
+                else:
+                    m.drop_shift(name)
 
     # ------------------------------------------------------------------
 
@@ -254,11 +421,13 @@ class HostExecutor:
                 if not bool(self.evaluator.eval_scalar(op.cond)):
                     break
                 m.charge_host(m.model.host_op)
-                self._run_ops(op.body)
+                self._run_ops(op.body, "while")
             m.charge_host(m.model.host_op)
             return
         reads, writes = _op_effects(op)
         self._barrier(reads, writes)
+        if self.machine.deferred and writes:
+            self._settle(writes, _whole_target(op))
         return self._exec_op(op)
 
     def _barrier(self, reads: frozenset[str],
@@ -274,6 +443,8 @@ class HostExecutor:
     def _flush(self) -> None:
         if not self._pending:
             return
+        if self.machine.deferred:
+            self._settle(self._pending_writes)
         pending = self._pending
         self._pending = []
         self._pending_reads = set()
@@ -398,15 +569,16 @@ class HostExecutor:
             self._element_move(op.clause)
         elif isinstance(op, Loop):
             m.charge_host(m.model.host_op)
-            for i in range(op.lo, op.hi + (1 if op.step > 0 else -1),
-                           op.step):
+            trips = range(op.lo, op.hi + (1 if op.step > 0 else -1),
+                          op.step)
+            for i in trips:
                 self.scalars[op.var] = i
                 m.charge_host(m.model.host_op)
-                self._run_ops(op.body)
+                self._run_ops(op.body, "loop", i == trips[-1])
         elif isinstance(op, WhileOp):
             while bool(self.evaluator.eval_scalar(op.cond)):
                 m.charge_host(m.model.host_op)
-                self._run_ops(op.body)
+                self._run_ops(op.body, "while")
             m.charge_host(m.model.host_op)
         elif isinstance(op, IfOp):
             m.charge_host(m.model.host_op)

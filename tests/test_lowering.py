@@ -294,3 +294,51 @@ class TestShapeChecking:
         lowered = lower_program(parse_program(
             "integer a(4)\na = 1\nend"))
         check_program(lowered.nir, lowered.env)
+
+
+class TestIntrinsicArgumentErrors:
+    """Arity and keyword errors in intrinsic calls are located
+    LoweringErrors on every surface, never a raw ValueError."""
+
+    SOURCE = ("program p\ndouble precision a(4)\na = 1.0d0\n"
+              "a = cshift(a, 1, shift=2)\nend program p\n")
+
+    @pytest.mark.parametrize("call, message", [
+        ("cshift(a, 1, shift=2)", "duplicate argument 'shift'"),
+        ("cshift(a, 1, 1, 1)", "too many arguments"),
+        ("cshift(a, 1, axis=1)", "unknown keyword 'axis'"),
+        ("cshift(dim=1)", "missing required argument"),
+        ("merge(a, a, tsource=a)", "duplicate argument .tsource."),
+    ])
+    def test_compile_source_raises_located_lowering_error(self, call,
+                                                          message):
+        from repro import compile_source
+
+        source = self.SOURCE.replace("cshift(a, 1, shift=2)", call)
+        with pytest.raises(LoweringError, match=message) as info:
+            compile_source(source, cache=False, incremental=False)
+        assert info.value.source_loc.line == 4
+
+    def test_reduction_keyword_error(self):
+        with pytest.raises(LoweringError, match="duplicate argument 'dim'"):
+            lower("double precision a(4), s\ns = sum(a, 1, dim=1)\nend")
+
+    def test_cli_reports_a_typed_error(self, tmp_path, capsys):
+        from repro.driver import cli
+
+        path = tmp_path / "bad.f90"
+        path.write_text(self.SOURCE)
+        assert cli.main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "LoweringError: cshift: duplicate argument 'shift'" in err
+        assert "ValueError" not in err
+
+    def test_service_returns_a_structured_error(self):
+        from repro.service.jobs import execute_request
+
+        response = execute_request({"op": "run", "source": self.SOURCE},
+                                   None)
+        assert not response["ok"]
+        assert response["error"] == {
+            "type": "LoweringError",
+            "message": "cshift: duplicate argument 'shift'"}
